@@ -18,7 +18,7 @@ from repro.core.extension import DEFAULT_POLICY, WalkPolicy, WalkState
 from repro.core.merwalk import DEFAULT_MAX_WALK_LEN, WalkResult, mer_walk
 from repro.errors import KmerError
 from repro.genomics.contig import Contig, ContigExtension, End
-from repro.genomics.dna import reverse_complement
+from repro.genomics.dna import reverse_complement, reverse_complement_str
 from repro.genomics.reads import Read, ReadSet
 
 #: MetaHipMer's production k-mer schedule (Figure 2).
@@ -111,9 +111,7 @@ class LocalAssembler:
                               k=self.k_schedule[0])
         bases = best.bases
         if end is End.LEFT and bases:
-            rc = reverse_complement(bases)
-            assert isinstance(rc, str)
-            bases = rc
+            bases = reverse_complement_str(bases)
         ext = ContigExtension(
             end=end, bases=bases, walk_state=best.state.value,
             kmer_size=best.k, steps=best.steps,

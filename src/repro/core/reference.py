@@ -17,7 +17,7 @@ from repro.core.extension import (
     resolve_extension,
 )
 from repro.genomics.contig import Contig, End
-from repro.genomics.dna import BASES, reverse_complement
+from repro.genomics.dna import BASES, reverse_complement, reverse_complement_str
 from repro.genomics.reads import ReadSet
 
 
@@ -84,10 +84,7 @@ def reference_extend(
         rc_reads.append(Read(name=r.name, codes=reverse_complement(r.codes),
                              quals=r.quals[::-1].copy()))
     rc_table = reference_table(rc_reads, k)
-    rc_seed = reverse_complement(contig.sequence[:k])
-    assert isinstance(rc_seed, str)
+    rc_seed = reverse_complement_str(contig.sequence[:k])
     bases, state, _ = reference_walk(rc_table, rc_seed, max_walk_len, policy)
-    rc_bases = reverse_complement(bases)
-    assert isinstance(rc_bases, str)
-    results[End.LEFT] = (rc_bases, state)
+    results[End.LEFT] = (reverse_complement_str(bases), state)
     return results

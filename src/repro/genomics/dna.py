@@ -91,8 +91,17 @@ def reverse_complement(seq: str | np.ndarray) -> str | np.ndarray:
     problem on the reverse-complemented contig.
     """
     if isinstance(seq, str):
-        return decode(complement(encode(seq))[::-1])
+        return reverse_complement_str(seq)
     return complement(seq)[::-1]
+
+
+def reverse_complement_str(seq: str) -> str:
+    """String-only :func:`reverse_complement`, typed ``str -> str``.
+
+    For callers that hold a string and need a string back without
+    narrowing the union return type of :func:`reverse_complement`.
+    """
+    return decode(complement(encode(seq))[::-1])
 
 
 def decode_matrix(codes: np.ndarray, lengths: np.ndarray) -> list[str]:

@@ -14,17 +14,24 @@ Two machine representations are provided:
   (full-key comparison is still charged in the cost model; a 64-bit
   fingerprint collision over the ≤10M keys of a dataset is vanishingly
   unlikely, and the chance is tested empirically in the test suite).
+
+Whole read sets are handled in bulk: :func:`strand_windows` lays every
+read and its reverse complement out as one code stream and computes the
+canonical fingerprint of every window in one rolling pass, and
+:func:`pack_windows` gives chosen windows their exact multi-word 2-bit
+keys. K-mer analysis and the global de Bruijn graph share both.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import KmerError
-from repro.genomics.dna import decode, encode, reverse_complement
+from repro.genomics.dna import complement, decode, encode, reverse_complement_str
 
 #: Multiplier for the 64-bit polynomial fingerprint (odd => invertible mod 2^64).
 FINGERPRINT_BASE = np.uint64(0x9E3779B97F4A7C15)
@@ -99,8 +106,7 @@ def unpack_kmer(value: int, k: int) -> str:
 
 def canonical_kmer(kmer: str) -> str:
     """The lexicographically smaller of a k-mer and its reverse complement."""
-    rc = reverse_complement(kmer)
-    assert isinstance(rc, str)
+    rc = reverse_complement_str(kmer)
     return kmer if kmer <= rc else rc
 
 
@@ -222,3 +228,116 @@ def fingerprint_of(kmer: str) -> int:
     """Fingerprint of a single k-mer string (matches :func:`kmer_fingerprints`)."""
     codes = encode(kmer)
     return int(kmer_fingerprints(codes, len(codes))[0])
+
+
+def pack_windows(codes: np.ndarray, starts: np.ndarray, k: int) -> np.ndarray:
+    """Exact 2-bit keys of the k-windows of ``codes`` at ``starts``.
+
+    Returns a ``(len(starts), ceil(k / 32))`` ``uint64`` matrix: word
+    ``t`` packs bases ``32t .. 32t+31`` of the window most significant
+    base first, and the last word holds the remaining ``k mod 32`` bases
+    right-aligned (the :func:`pack_kmer` layout, split into 64-bit
+    words). Two windows have equal rows exactly when they are the same
+    k-mer. The 32-base words at every stream position come from five
+    doubling passes (``P_2w(i) = P_w(i) << 2w | P_w(i + w)``) rather
+    than ``k`` passes per window.
+    """
+    if k <= 0:
+        raise KmerError(f"k must be positive, got {k}")
+    codes = np.asarray(codes, dtype=np.uint8)
+    starts = np.asarray(starts, dtype=np.int64)
+    n_words = -(-k // 32)
+    if starts.size and int(starts.max()) + k > codes.size:
+        raise KmerError(f"window of k={k} runs past the {codes.size}-base stream")
+    packed = np.concatenate([codes, np.zeros(31, dtype=np.uint8)]).astype(np.uint64)
+    width = 1
+    while width < 32:
+        packed = (packed[:-width] << np.uint64(2 * width)) | packed[width:]
+        width *= 2
+    out = np.empty((starts.size, n_words), dtype=np.uint64)
+    for t in range(n_words):
+        out[:, t] = packed[starts + 32 * t]
+    out[:, -1] >>= np.uint64(2 * (32 * n_words - k))
+    return out
+
+
+@dataclass(frozen=True)
+class StrandWindows:
+    """Every k-window of a read set on both strands, as flat arrays.
+
+    ``codes`` concatenates, in input order, each sequence of at least
+    ``k`` bases followed by its reverse complement (shorter sequences
+    are skipped). Windows are numbered in that stream order, so a
+    sequence with ``W = len - k + 1`` windows owns ``2W`` consecutive
+    window numbers — its forward windows, then its reverse-strand ones —
+    and within that block window ``i`` and window ``2W - 1 - i`` are
+    reverse complements of each other.
+
+    Attributes:
+        k: window length.
+        codes: the ``uint8`` code stream.
+        starts: ``int64`` start of each window in ``codes``.
+        partner: ``int64`` number of each window's reverse-complement
+            window.
+        has_next: ``bool``, the window is followed by another base of
+            its strand (``codes[starts + k]`` is that base).
+        canonical: ``uint64`` strand-independent fingerprint,
+            ``min(fp(window), fp(partner))`` — the identity k-mer
+            analysis counts.
+    """
+
+    k: int
+    codes: np.ndarray
+    starts: np.ndarray
+    partner: np.ndarray
+    has_next: np.ndarray
+    canonical: np.ndarray
+
+    @property
+    def forward(self) -> np.ndarray:
+        """``bool`` mask of the forward-strand windows (a forward window
+        precedes its partner in its block, a reverse one follows it)."""
+        return self.partner > np.arange(self.partner.size)
+
+
+def strand_windows(seqs: Iterable[np.ndarray], k: int) -> StrandWindows:
+    """Lay ``seqs`` out as a two-strand stream and fingerprint every window.
+
+    One :func:`rolling_fingerprints` pass over the whole stream replaces
+    per-sequence, per-strand fingerprinting; the reverse-complement
+    window of each window is found by index arithmetic, not by hashing
+    the reverse strand separately.
+    """
+    if k <= 0:
+        raise KmerError(f"k must be positive, got {k}")
+    kept = [s for s in seqs if len(s) >= k]
+    lens = np.fromiter(map(len, kept), dtype=np.int64, count=len(kept))
+    fwd = np.concatenate(kept) if kept else np.empty(0, dtype=np.uint8)
+    # gather the stream from the forward reads and the reverse complement
+    # of their whole concatenation, where read j (bases [b, e) of fwd)
+    # reverse-complemented is the slice [n - e, n - b)
+    n = fwd.size
+    source = np.concatenate([fwd, complement(fwd[::-1])])
+    ends = np.cumsum(lens)
+    strand_len = np.repeat(lens, 2)
+    src_start = np.stack([ends - lens, 2 * n - ends], axis=1).ravel()
+    dst_start = np.cumsum(strand_len) - strand_len
+    codes = source[np.repeat(src_start - dst_start, strand_len)
+                   + np.arange(2 * n, dtype=np.int64)]
+    n_win = lens - k + 1
+    strand_win = np.repeat(n_win, 2)
+    strand = np.repeat(np.arange(strand_win.size, dtype=np.int64), strand_win)
+    index = np.arange(strand.size, dtype=np.int64)
+    starts = index + (k - 1) * strand
+    block_last = np.cumsum(2 * n_win) - 1
+    block_first = block_last - 2 * n_win + 1
+    partner = np.repeat(block_first + block_last, 2 * n_win) - index
+    has_next = np.ones(index.size, dtype=bool)
+    has_next[np.cumsum(strand_win) - 1] = False
+    if index.size:
+        fps = rolling_fingerprints(codes, k)[starts]
+        canonical = np.minimum(fps, fps[partner])
+    else:
+        canonical = np.empty(0, dtype=np.uint64)
+    return StrandWindows(k=k, codes=codes, starts=starts, partner=partner,
+                         has_next=has_next, canonical=canonical)

@@ -20,7 +20,7 @@ from repro.core.extension import DEFAULT_POLICY, WalkPolicy, WalkState
 from repro.core.merwalk import DEFAULT_MAX_WALK_LEN, mer_walk
 from repro.errors import HashTableFullError, KernelError
 from repro.genomics.contig import Contig, End
-from repro.genomics.dna import reverse_complement
+from repro.genomics.dna import reverse_complement, reverse_complement_str
 from repro.genomics.reads import Read, ReadSet
 from repro.kernels.engine.schedule import SideArrays, iterate_k_schedule
 from repro.simt.counters import KernelProfile
@@ -242,9 +242,7 @@ class ScalarReferenceBackend:
         profile.extension_bases += len(walk.bases)
         bases = walk.bases
         if end is End.LEFT and bases:
-            rc = reverse_complement(bases)
-            assert isinstance(rc, str)
-            bases = rc
+            bases = reverse_complement_str(bases)
         return bases, walk.state
 
     def run(self, contigs: list[Contig], k: int, **_kwargs) -> KernelRunResult:

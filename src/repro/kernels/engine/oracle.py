@@ -40,7 +40,7 @@ from repro.core.extension import (
 )
 from repro.errors import HashTableFullError, KernelError
 from repro.genomics.contig import Contig, End
-from repro.genomics.dna import reverse_complement
+from repro.genomics.dna import reverse_complement, reverse_complement_str
 from repro.genomics.kmer import fingerprint_matrix
 from repro.hashing.murmur import murmur2_batch
 from repro.hashing.opcount import hash_intops
@@ -601,9 +601,8 @@ def oracle_kernel_cls(kernel_cls):
                         if plan.end is End.RIGHT:
                             right[ci] = (wres.bases[w], wres.states[w])
                         else:
-                            rc = reverse_complement(wres.bases[w])
-                            assert isinstance(rc, str)
-                            left[ci] = (rc, wres.states[w])
+                            left[ci] = (reverse_complement_str(wres.bases[w]),
+                                        wres.states[w])
                     if not failed:
                         break
                     if (self.overflow_policy is OverflowPolicy.GROW_RETRY

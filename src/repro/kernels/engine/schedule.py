@@ -177,27 +177,31 @@ def iterate_k_schedule(
     cannot resize them); profiles of all launches merge.
     """
     validate_k_schedule(k_schedule)
-    merged: KernelProfile | None = None
     best_r = SideArrays.empty(n_contigs)
     best_l = SideArrays.empty(n_contigs)
     settled_r = np.zeros(n_contigs, dtype=bool)
     settled_l = np.zeros(n_contigs, dtype=bool)
-    last_k = k_schedule[0]
-    for k in k_schedule:
-        if settled_r.all() and settled_l.all():
-            break
-        last_k = k
-        res = run_one(k)
-        if merged is None:
-            merged = res.profile
-        else:
-            merged.merge(res.profile)
+
+    def settle(res) -> None:
         for arrays, side, settled, best in (
             (getattr(res, "right_arrays", None), res.right, settled_r, best_r),
             (getattr(res, "left_arrays", None), res.left, settled_l, best_l),
         ):
             cur = arrays if arrays is not None else SideArrays.from_side(side)
             merge_k_side(cur, best, settled)
-    assert merged is not None
+
+    # the first k always runs, so an empty contig set still returns that
+    # launch sequence's (empty) profile, as a single-k ``run`` does
+    last_k = k_schedule[0]
+    first = run_one(last_k)
+    merged: KernelProfile = first.profile
+    settle(first)
+    for k in k_schedule[1:]:
+        if settled_r.all() and settled_l.all():
+            break
+        last_k = k
+        res = run_one(k)
+        merged.merge(res.profile)
+        settle(res)
     merged.contigs = n_contigs
     return last_k, merged, best_r.to_side(), best_l.to_side()

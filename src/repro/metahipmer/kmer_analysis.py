@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import KmerError
-from repro.genomics.kmer import kmer_fingerprints
-from repro.genomics.dna import complement
+from repro.genomics.kmer import strand_windows
 from repro.genomics.reads import ReadSet
 
 #: Default minimum multiplicity for a k-mer to be considered error-free.
@@ -96,27 +95,6 @@ class BloomFilter:
         return int(np.unpackbits(self._words.view(np.uint8)).sum()) / self.n_bits
 
 
-def _canonical_fingerprints(reads: ReadSet, k: int) -> np.ndarray:
-    """Canonical (strand-independent) fingerprints of every k-mer of every read.
-
-    The canonical fingerprint is ``min(fp(kmer), fp(revcomp(kmer)))`` —
-    cheaper than string comparison and equally strand-symmetric.
-    """
-    fwd_parts: list[np.ndarray] = []
-    rc_parts: list[np.ndarray] = []
-    for r in reads:
-        if len(r) < k:
-            continue
-        fwd_parts.append(kmer_fingerprints(r.codes, k))
-        rc = complement(r.codes)[::-1]
-        rc_parts.append(kmer_fingerprints(np.ascontiguousarray(rc), k)[::-1])
-    if not fwd_parts:
-        return np.empty(0, dtype=np.uint64)
-    fwd = np.concatenate(fwd_parts)
-    rc = np.concatenate(rc_parts)
-    return np.minimum(fwd, rc)
-
-
 @dataclass
 class KmerSpectrum:
     """The outcome of k-mer analysis.
@@ -181,7 +159,9 @@ def count_kmers_filtered(
     """
     if k <= 0:
         raise KmerError(f"k must be positive, got {k}")
-    fps = _canonical_fingerprints(reads, k)
+    # canonical fingerprints of every read's forward windows, in read order
+    windows = strand_windows((r.codes for r in reads), k)
+    fps = windows.canonical[windows.forward]
     spectrum = KmerSpectrum(k=k, total_kmers=int(fps.size))
     if fps.size == 0:
         return spectrum

@@ -141,9 +141,9 @@ class DeNovoAssembler:
 
     Args:
         k_schedule: global-graph k per round (MetaHipMer: 21, 33, 55, 77).
-        min_count: k-mer error-filter threshold (also the graph's edge
-            support threshold and the carried-contig pseudo-read
-            multiplicity).
+        min_count: k-mer error-filter threshold, at least 1 (also the
+            graph's edge support threshold and the carried-contig
+            pseudo-read multiplicity).
         min_contig_len: discard unitigs shorter than this.
         policy: local-assembly walk thresholds.
         kernel: optional simulated-GPU kernel to run the local-assembly
@@ -160,6 +160,9 @@ class DeNovoAssembler:
     ) -> None:
         if not k_schedule or list(k_schedule) != sorted(set(k_schedule)):
             raise KmerError(f"k_schedule must be strictly increasing, got {k_schedule}")
+        if min_count < 1:
+            # 0 would mean "traverse edges no read supports"
+            raise KmerError(f"min_count must be at least 1, got {min_count}")
         self.k_schedule = tuple(int(k) for k in k_schedule)
         self.min_count = min_count
         self.min_contig_len = min_contig_len

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import KmerError
 from repro.genomics import kmer
-from repro.genomics.dna import encode
+from repro.genomics.dna import complement, encode
 
 dna_strings = st.text(alphabet="ACGT", min_size=1, max_size=120)
 
@@ -191,3 +191,56 @@ class TestShiftFingerprints:
         fps = kmer.kmer_fingerprints(codes, 1)
         shifted = kmer.shift_fingerprints(fps[:-1], codes[:-1], codes[1:], 1)
         np.testing.assert_array_equal(shifted, fps[1:])
+
+
+class TestPackWindows:
+    @given(st.lists(st.sampled_from("ACGT"), min_size=1, max_size=150),
+           st.integers(1, 80))
+    @settings(max_examples=60)
+    def test_words_are_pack_kmer_split_into_64_bit_words(self, bases, k):
+        seq = "".join(bases)
+        if k > len(seq):
+            return
+        codes = encode(seq)
+        starts = np.arange(len(seq) - k + 1)
+        words = kmer.pack_windows(codes, starts, k)
+        assert words.shape == (starts.size, -(-k // 32))
+        for s, row in zip(starts, words):
+            value = 0
+            for t, w in enumerate(row.tolist()):
+                width = min(32, k - 32 * t)
+                value = (value << (2 * width)) | w
+            assert value == kmer.pack_kmer(seq[s:s + k])
+
+    def test_window_past_stream_rejected(self):
+        with pytest.raises(KmerError):
+            kmer.pack_windows(encode("ACGT"), np.array([1]), 4)
+
+
+class TestStrandWindows:
+    @pytest.mark.parametrize("k", [1, 4, 21, 33])
+    def test_matches_per_read_two_strand_fingerprints(self, k):
+        rng = np.random.default_rng(k)
+        seqs = [rng.integers(0, 4, size=int(n), dtype=np.uint8)
+                for n in rng.integers(0, 60, size=12)]
+        win = kmer.strand_windows(seqs, k)
+        fwd, canon, nxt = [], [], []
+        for s in (s for s in seqs if len(s) >= k):
+            rc = complement(s)[::-1]
+            for strand, other in ((s, rc), (rc, s)):
+                f = kmer.kmer_fingerprints(strand, k)
+                g = kmer.kmer_fingerprints(np.ascontiguousarray(other), k)[::-1]
+                canon.extend(np.minimum(f, g).tolist())
+                nxt.extend([True] * (len(f) - 1) + [False])
+            fwd.extend([True] * (len(s) - k + 1) + [False] * (len(s) - k + 1))
+        assert win.canonical.tolist() == canon
+        assert win.has_next.tolist() == nxt
+        assert win.forward.tolist() == fwd
+        windows = kmer.kmer_matrix(win.codes, k)
+        for w, p in enumerate(win.partner.tolist()):
+            assert np.array_equal(windows[win.starts[p]],
+                                  complement(windows[win.starts[w]])[::-1])
+
+    def test_no_windows(self):
+        win = kmer.strand_windows([encode("ACG")], 5)
+        assert win.starts.size == 0 and win.canonical.size == 0

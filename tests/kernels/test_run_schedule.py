@@ -9,8 +9,12 @@ from repro.genomics.contig import Contig
 from repro.genomics.dna import decode, random_sequence
 from repro.genomics.reads import Read, ReadSet
 from repro.genomics.simulate import PERFECT_READS, ScenarioSpec, simulate_batch
-from repro.kernels import CudaLocalAssemblyKernel
-from repro.simt.device import A100
+from repro.kernels import (
+    CudaLocalAssemblyKernel,
+    HipLocalAssemblyKernel,
+    SyclLocalAssemblyKernel,
+)
+from repro.simt.device import A100, MAX1550, MI250X
 
 
 def _contigs(n=4, seed=17):
@@ -99,3 +103,18 @@ class TestRunSchedule:
             kern.run_schedule(_contigs(n=1), ())
         with pytest.raises(KernelError):
             kern.run_schedule(_contigs(n=1), (33, 21))
+
+    @pytest.mark.parametrize("kernel_cls, device", [
+        (CudaLocalAssemblyKernel, A100),
+        (HipLocalAssemblyKernel, MI250X),
+        (SyclLocalAssemblyKernel, MAX1550),
+    ])
+    def test_empty_input_returns_empty_result(self, kernel_cls, device):
+        """No contigs: an empty result, as single-k ``run([])`` gives."""
+        kern = kernel_cls(device)
+        sched = kern.run_schedule([], (21, 33))
+        single = kern.run([], 21)
+        assert sched.right == [] and sched.left == []
+        assert sched.k == 21
+        assert sched.profile.contigs == 0
+        assert sched.profile == single.profile

@@ -124,6 +124,15 @@ class TestCliContract:
         assert ": resumed" not in fresh.stdout
         assert (tmp_path / "b.fa").read_bytes() == ref_fa
 
+    def test_min_count_zero_is_rejected(self, tmp_path):
+        """--min-count 0 would traverse edges no read supports."""
+        proc = run_cli(["--scenario", SCENARIO, "--min-count", "0",
+                        "--output", "out.fa"], tmp_path)
+        assert proc.returncode != 0
+        assert "min_count must be at least 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out.fa").exists()
+
     def test_missing_fastq_is_a_one_line_error(self, tmp_path):
         proc = run_cli(["--reads", "missing.fastq"], tmp_path)
         assert proc.returncode == 1

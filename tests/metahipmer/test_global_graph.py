@@ -74,6 +74,11 @@ class TestGraph:
         with pytest.raises(KmerError):
             GlobalDeBruijnGraph(0)
 
+    @pytest.mark.parametrize("min_edge_count", [0, -2])
+    def test_rejects_min_edge_count_below_one(self, min_edge_count):
+        with pytest.raises(KmerError, match="min_edge_count must be at least 1"):
+            GlobalDeBruijnGraph(K, min_edge_count=min_edge_count)
+
     def test_fork_ends_unique_successor(self):
         """Two sequences sharing a k-mer but diverging after it -> no
         unique successor at the shared k-mer (the Figure 1 fork)."""

@@ -46,6 +46,11 @@ class TestDeNovoAssembler:
         with pytest.raises(KmerError):
             DeNovoAssembler(k_schedule=(33, 21))
 
+    @pytest.mark.parametrize("min_count", [0, -1])
+    def test_rejects_min_count_below_one(self, min_count):
+        with pytest.raises(KmerError, match="min_count must be at least 1"):
+            DeNovoAssembler(min_count=min_count)
+
     def test_perfect_reads_reconstruct_genomes(self):
         rng = np.random.default_rng(1)
         genomes, reads = _metagenome_reads(rng)

@@ -90,12 +90,11 @@ class LocalHashTable:
             raise KmerError(f"key length {key.shape} != (k={self.k},)")
         return key
 
-    def _probe(self, key: np.ndarray, for_insert: bool) -> int | None:
-        """Linear probe; returns a slot index or None (lookup miss).
+    def _probe(self, key: np.ndarray) -> int | None:
+        """Linear probe: the key's slot, else the first empty slot.
 
-        For inserts the returned slot is either the key's existing slot or
-        the first empty one; raises :class:`HashTableFullError` when the
-        probe wraps all the way around (the GPU prints ``*hashtable full*``).
+        Returns None when the probe wraps all the way around a full
+        table without finding the key.
         """
         idx = self._home_slot(key)
         start = idx
@@ -103,31 +102,30 @@ class LocalHashTable:
         while True:
             probes += 1
             slot = self._slots[idx]
-            if slot is None:
-                self.stats.probes += probes
-                self.stats.collisions += probes - 1
-                return idx if for_insert else None
-            if np.array_equal(slot.key, key):
-                self.stats.probes += probes
-                self.stats.collisions += probes - 1
-                return idx
+            if slot is None or np.array_equal(slot.key, key):
+                break
             idx = (idx + 1) % self.capacity
             if idx == start:
-                if for_insert:
-                    raise HashTableFullError(
-                        "hash table full", k=self.k,
-                        capacity=self.capacity, probes=probes,
-                    )
-                self.stats.probes += probes
-                self.stats.collisions += probes - 1
-                return None
+                idx = None
+                break
+        self.stats.probes += probes
+        self.stats.collisions += probes - 1
+        return idx
 
     def insert(self, key: np.ndarray, ext_code: int, qual: int) -> Slot:
-        """Insert (or merge into) ``key`` a vote for next-base ``ext_code``."""
+        """Insert (or merge into) ``key`` a vote for next-base ``ext_code``.
+
+        Raises :class:`HashTableFullError` when the table is full and the
+        key absent (the GPU prints ``*hashtable full*``).
+        """
         key = self._check_key(key)
         self.stats.inserts += 1
-        idx = self._probe(key, for_insert=True)
-        assert idx is not None
+        idx = self._probe(key)
+        if idx is None:
+            raise HashTableFullError(
+                "hash table full", k=self.k,
+                capacity=self.capacity, probes=self.capacity,
+            )
         slot = self._slots[idx]
         if slot is None:
             slot = Slot(key=key.copy())
@@ -140,7 +138,7 @@ class LocalHashTable:
         """Find the slot for ``key`` or None if absent."""
         key = self._check_key(key)
         self.stats.lookups += 1
-        idx = self._probe(key, for_insert=False)
+        idx = self._probe(key)
         return self._slots[idx] if idx is not None else None
 
     def __contains__(self, key: np.ndarray) -> bool:

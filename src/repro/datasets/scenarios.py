@@ -165,8 +165,7 @@ def _build_fork_resolution(rng: np.random.Generator) -> ScenarioData:
     # leaving the two X occurrences must differ between occurrences.
     b[0] = (int(c[0]) + 1) % ALPHABET_SIZE     # successor fork after X
     a[-1] = (int(b[-1]) + 1) % ALPHABET_SIZE   # predecessor fork before X
-    g = np.concatenate([a, x, b, x, c])
-    assert len(g) == 890
+    g = np.concatenate([a, x, b, x, c])  # 260 + 25 + 320 + 25 + 260 = 890
 
     read_len = 60
     gap_lo, gap_hi = 385, 419  # the thin junction's two read starts

@@ -92,14 +92,19 @@ def murmur2_words(stream: np.ndarray) -> np.ndarray:
     every window length.
     """
     stream = np.ascontiguousarray(stream, dtype=np.uint8)
-    if stream.size < 4:
-        return np.empty(0, dtype=np.uint32)
-    return (
-        stream[: stream.size - 3].astype(np.uint32)
-        | (stream[1: stream.size - 2].astype(np.uint32) << np.uint32(8))
-        | (stream[2: stream.size - 1].astype(np.uint32) << np.uint32(16))
-        | (stream[3:].astype(np.uint32) << np.uint32(24))
-    )
+    n = max(stream.size - 3, 0)
+    words = np.empty(n, dtype=np.uint32)
+    # The words at offsets r, r+4, r+8, ... are the stream from byte r
+    # read as little-endian uint32s: four strided copies, no shift/or.
+    for r in range(min(n, 4)):
+        count = (n - r + 3) // 4
+        words[r::4] = stream[r: r + 4 * count].view("<u4")
+    return words
+
+
+#: Windows per :func:`murmur2_stream` block: 2**16 keeps a round's
+#: uint32/int64 temporaries within L2.
+_STREAM_BLOCK = 1 << 16
 
 
 def murmur2_stream(stream: np.ndarray, starts: np.ndarray, length: int,
@@ -112,6 +117,10 @@ def murmur2_stream(stream: np.ndarray, starts: np.ndarray, length: int,
     pre-assembled once over the whole stream (four O(n) passes), then
     each of the ``length // 4`` word rounds is a single gather. ``words``
     accepts a precomputed :func:`murmur2_words` of the same stream.
+
+    Windows are hashed in blocks of :data:`_STREAM_BLOCK` starts, so each
+    round's temporaries stay cache-resident instead of streaming through
+    memory once per round.
     """
     stream = np.ascontiguousarray(stream, dtype=np.uint8)
     starts = np.asarray(starts, dtype=np.int64)
@@ -120,27 +129,43 @@ def murmur2_stream(stream: np.ndarray, starts: np.ndarray, length: int,
     if starts.size and (int(starts.min()) < 0
                         or int(starts.max()) + length > stream.size):
         raise ValueError("window [start, start + length) out of stream bounds")
+    if length >= 4 and starts.size and words is None:
+        words = murmur2_words(stream)
+    out = np.empty(starts.size, dtype=np.uint32)
+    for lo in range(0, starts.size, _STREAM_BLOCK):
+        hi = lo + _STREAM_BLOCK
+        out[lo:hi] = _murmur2_windows(stream, words, starts[lo:hi], length,
+                                      seed)
+    return out
+
+
+def _murmur2_windows(stream: np.ndarray, words: np.ndarray | None,
+                     starts: np.ndarray, length: int,
+                     seed: int) -> np.ndarray:
+    """One block of :func:`murmur2_stream` (bounds already checked).
+
+    Word round ``j`` gathers from the shifted view ``words[4*j:]``, so
+    no ``starts + 4*j`` offset array is built per round.
+    """
     m = np.uint32(MURMUR_M)
     h = np.full(starts.size, (seed ^ length) & _U32, dtype=np.uint32)
     with np.errstate(over="ignore"):
         nwords = length // 4
-        if nwords and starts.size:
-            if words is None:
-                words = murmur2_words(stream)
-            for j in range(nwords):
-                k = words[starts + 4 * j] * m
-                k ^= k >> np.uint32(MURMUR_R)
-                k *= m
-                h *= m
-                h ^= k
+        for j in range(nwords):
+            k = words[4 * j:][starts]
+            k *= m
+            k ^= k >> np.uint32(MURMUR_R)
+            k *= m
+            h *= m
+            h ^= k
         tail = length - nwords * 4
         i = nwords * 4
         if tail == 3:
-            h ^= stream[starts + (i + 2)].astype(np.uint32) << np.uint32(16)
+            h ^= stream[i + 2:][starts].astype(np.uint32) << np.uint32(16)
         if tail >= 2:
-            h ^= stream[starts + (i + 1)].astype(np.uint32) << np.uint32(8)
+            h ^= stream[i + 1:][starts].astype(np.uint32) << np.uint32(8)
         if tail >= 1:
-            h ^= stream[starts + i].astype(np.uint32)
+            h ^= stream[i:][starts]
             h *= m
         h ^= h >> np.uint32(13)
         h *= m

@@ -169,7 +169,8 @@ class _FusionRecorder:
 
     def end_launch(self) -> _LaunchRecord:
         rec, self._rec = self._rec, None
-        assert rec is not None
+        if rec is None:
+            raise KernelError("end_launch without a matching begin_launch")
         return rec
 
     # -- per-segment decompositions ------------------------------------
@@ -278,8 +279,8 @@ class _AttemptRecord:
     base_lens: np.ndarray
     state_codes: np.ndarray
     failed: list[int]               # overflowed warps, segment-local, sorted
-    first_construct_fail: int | None  # chronological, for RAISE semantics
-    first_walk_fail: int | None
+    #: The solo RAISE-policy error; set exactly when ``failed`` is not empty.
+    overflow: HashTableFullError | None
     attempt: int                    # 0-based attempt index
     grown: np.ndarray | None = None  # retry capacities (set when retried)
 
@@ -306,7 +307,8 @@ class _JobState:
         self.best_l = SideArrays.empty(self.n)
         self.settled_r = np.zeros(self.n, dtype=bool)
         self.settled_l = np.zeros(self.n, dtype=bool)
-        self.merged_profile: KernelProfile | None = None
+        # every field of an empty profile is an identity for ``merge``
+        self.merged_profile = KernelProfile()
         self.degraded: set[int] = set()
         self.retried: set[int] = set()
         self.replay: list = []
@@ -370,13 +372,17 @@ def _run_fused_group(kernel, group: list[_Segment], k: int, ops: int,
         cres = construct.run(fused, tables, bus)
         wres = walker.run(fused, tables, bus)
         launch = recorder.end_launch()
-        failed_global = sorted(set(cres.overflowed) | set(wres.overflowed))
         any_failed = False
         retry_live: list[int] = []
         for pos, i in enumerate(live):
             seg = group[i]
             lo, hi = int(warp_base[pos]), int(warp_base[pos + 1])
-            seg_failed = [w - lo for w in failed_global if lo <= w < hi]
+            # chronological: construction raises before the walk runs
+            fails = ([(w - lo, _CONSTRUCT_FULL) for w in cres.overflowed
+                      if lo <= w < hi]
+                     + [(w - lo, _WALK_FULL) for w in wres.overflowed
+                        if lo <= w < hi])
+            seg_failed = sorted({w for w, _ in fails})
             rec = _AttemptRecord(
                 sub=seg.sub, launch=launch, pos=pos,
                 context=_segment_context(seg.sub, k, ops, with_contig_ids),
@@ -384,10 +390,8 @@ def _run_fused_group(kernel, group: list[_Segment], k: int, ops: int,
                 base_lens=wres.base_lens[lo:hi],
                 state_codes=wres.state_codes[lo:hi],
                 failed=seg_failed,
-                first_construct_fail=next(
-                    (w - lo for w in cres.overflowed if lo <= w < hi), None),
-                first_walk_fail=next(
-                    (w - lo for w in wres.overflowed if lo <= w < hi), None),
+                overflow=(_solo_overflow_error(seg.sub, *fails[0], k)
+                          if fails else None),
                 attempt=attempt,
             )
             seg.records.append(rec)
@@ -485,23 +489,21 @@ def _replay_attempt(rec: _AttemptRecord, bus: EventBus) -> LaunchDone:
                       walk_steps=wsteps, walk_iterations=witers)
 
 
-def _solo_overflow_error(rec: _AttemptRecord, k: int) -> HashTableFullError:
-    """Reconstruct the error a solo RAISE-policy run would have raised.
+_CONSTRUCT_FULL = "hash table overflow during construction"
+_WALK_FULL = "hash table wrapped during walk lookup"
+
+
+def _solo_overflow_error(sub: Batch, w: int, msg: str,
+                         k: int) -> HashTableFullError:
+    """The error a solo RAISE-policy run raises for its first failing warp.
 
     Overflow detection is warp-local and iteration-exact, and a probe
     offset is bounds-checked every iteration once it can reach the
     capacity, so the solo error's ``probes`` always equals the failing
-    warp's capacity; construction raises before the walk runs, so any
-    construct overflow takes precedence.
+    warp's capacity.
     """
-    if rec.first_construct_fail is not None:
-        w, msg = rec.first_construct_fail, \
-            "hash table overflow during construction"
-    else:
-        assert rec.first_walk_fail is not None
-        w, msg = rec.first_walk_fail, "hash table wrapped during walk lookup"
-    cap = int(rec.sub.capacities[w])
-    return HashTableFullError(msg, contig_id=int(rec.sub.contig_ids[w]),
+    cap = int(sub.capacities[w])
+    return HashTableFullError(msg, contig_id=int(sub.contig_ids[w]),
                               k=k, capacity=cap, probes=cap)
 
 
@@ -525,7 +527,7 @@ def _replay_job_k(kernel, state: _JobState, k: int,
     try:
         for seg in state.segments:
             arr = right_arr if seg.plan.end is End.RIGHT else left_arr
-            for ridx, rec in enumerate(seg.records):
+            for rec in seg.records:
                 done = _replay_attempt(rec, bus)
                 bus.emit(done)
                 sub = rec.sub
@@ -542,10 +544,10 @@ def _replay_job_k(kernel, state: _JobState, k: int,
                     arr.text[cis] = decode_matrix(mat, lens)
                     arr.lens[cis] = lens
                     arr.state_codes[cis] = rec.state_codes[ok]
-                if not failed:
+                if rec.overflow is None:
                     continue
                 if raise_policy:
-                    raise _JobFailed(_solo_overflow_error(rec, k))
+                    raise _JobFailed(rec.overflow)
                 if rec.grown is not None:
                     # this attempt was re-fused with grown tables
                     for w, cap in zip(failed, rec.grown):
@@ -553,25 +555,24 @@ def _replay_job_k(kernel, state: _JobState, k: int,
                             contig_id=sub.contig_ids[w], k=k,
                             attempt=rec.attempt + 1, capacity=int(cap)))
                         state.retried.add(sub.contig_ids[w])
-                    continue
+            # only a grown attempt is re-fused, so warps that failed the
+            # final attempt are dropped
+            final = seg.records[-1]
+            if final.grown is None:
                 end_name = "right" if seg.plan.end is End.RIGHT else "left"
-                for w in failed:
-                    ci = sub.contig_ids[w]
+                for w in final.failed:
+                    ci = final.sub.contig_ids[w]
                     bus.emit(ContigDropped(
                         contig_id=ci, k=k, end=end_name,
-                        capacity=int(sub.capacities[w])))
+                        capacity=int(final.sub.capacities[w])))
                     state.degraded.add(ci)
                     arr.text[ci] = ""
                     arr.lens[ci] = 0
                     arr.state_codes[ci] = MISSING_CODE
-                assert ridx == len(seg.records) - 1
     except _JobFailed as exc:
         state.error = exc.error
         return
-    if state.merged_profile is None:
-        state.merged_profile = profile
-    else:
-        state.merged_profile.merge(profile)
+    state.merged_profile.merge(profile)
     merge_k_side(right_arr, state.best_r, state.settled_r)
     merge_k_side(left_arr, state.best_l, state.settled_l)
     if tracer is not None:
@@ -714,7 +715,6 @@ def run_schedule_coalesced(
             results.append(CoalescedJobResult(result=None, error=s.error))
             continue
         merged = s.merged_profile
-        assert merged is not None
         merged.contigs = s.n
         merged.prep_cache_hits = s.cache.hits
         merged.prep_cache_misses = s.cache.misses

@@ -335,21 +335,12 @@ def iterate_k_schedule_scalar(
     of as NumPy mask assignments.
     """
     validate_k_schedule(k_schedule)
-    merged: KernelProfile | None = None
     right: list[tuple[str, WalkState]] = [("", WalkState.MISSING)] * n_contigs
     left: list[tuple[str, WalkState]] = [("", WalkState.MISSING)] * n_contigs
     settled_r = [False] * n_contigs
     settled_l = [False] * n_contigs
-    last_k = k_schedule[0]
-    for k in k_schedule:
-        if all(settled_r) and all(settled_l):
-            break
-        last_k = k
-        res = run_one(k)
-        if merged is None:
-            merged = res.profile
-        else:
-            merged.merge(res.profile)
+
+    def settle(res) -> None:
         for i in range(n_contigs):
             for side, settled, best in (
                 (res.right, settled_r, right),
@@ -362,7 +353,19 @@ def iterate_k_schedule_scalar(
                     best[i] = (bases, state)
                 if state is not WalkState.FORK:
                     settled[i] = True
-    assert merged is not None
+
+    # the first k always runs, as in ``iterate_k_schedule``
+    last_k = k_schedule[0]
+    first = run_one(last_k)
+    merged: KernelProfile = first.profile
+    settle(first)
+    for k in k_schedule[1:]:
+        if all(settled_r) and all(settled_l):
+            break
+        last_k = k
+        res = run_one(k)
+        merged.merge(res.profile)
+        settle(res)
     merged.contigs = n_contigs
     return last_k, merged, right, left
 
@@ -493,7 +496,17 @@ class OracleBatchPreparer(BatchPreparer):
 
 
 class OracleWarpHashTables(WarpHashTables):
-    """Per-warp tables with the pre-refactor ``np.add.at`` vote (pinned)."""
+    """Per-warp tables with the pre-refactor dense ``np.add.at`` votes (pinned).
+
+    Keeps its own dense per-slot ``hi_q``/``low_q``/``count`` matrices;
+    the production tables store vote rows only for voted slots.
+    """
+
+    def __init__(self, capacities: np.ndarray, k: int) -> None:
+        super().__init__(capacities, k)
+        self.hi_q = np.zeros((self.total_slots, 4), dtype=np.int32)
+        self.low_q = np.zeros((self.total_slots, 4), dtype=np.int32)
+        self.count = np.zeros(self.total_slots, dtype=np.int32)
 
     def vote(self, slots: np.ndarray, exts: np.ndarray,
              hi_mask: np.ndarray) -> None:
@@ -502,6 +515,9 @@ class OracleWarpHashTables(WarpHashTables):
         np.add.at(self.hi_q, (hi_rows, exts[hi_mask].astype(np.int64)), 1)
         np.add.at(self.low_q, (lo_rows, exts[~hi_mask].astype(np.int64)), 1)
         np.add.at(self.count, slots, 1)
+
+    def votes_at(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.hi_q[slots], self.low_q[slots]
 
 
 def oracle_kernel_cls(kernel_cls):

@@ -34,6 +34,12 @@ SLOT_BYTES = SLOT_TAG_BYTES + SLOT_VALUE_BYTES
 class WarpHashTables:
     """All per-warp hash tables of one kernel launch.
 
+    Host storage is lean: per slot only the fingerprint, the occupied
+    flag and an int32 ``vote_row``; vote counts live in ``votes`` rows
+    that exist only for slots that received votes (about one slot in
+    seven at the engine's load factor). The modeled device struct —
+    :data:`SLOT_BYTES` per slot, behind ``total_bytes`` — is unchanged.
+
     Args:
         capacities: per-warp slot counts (int array, one per warp).
         k: key length in bases.
@@ -52,9 +58,13 @@ class WarpHashTables:
         total = int(self.offsets[-1])
         self.fp = np.zeros(total, dtype=np.uint64)
         self.occupied = np.zeros(total, dtype=bool)
-        self.hi_q = np.zeros((total, 4), dtype=np.int32)
-        self.low_q = np.zeros((total, 4), dtype=np.int32)
-        self.count = np.zeros(total, dtype=np.int32)
+        #: Vote row of each slot; row 0 is the shared all-zero row of
+        #: every slot nobody has voted for.
+        self.vote_row = np.zeros(total, dtype=np.int32)
+        # Vote rows ``(rows, 2, 4)``: ``[row, hi, ext]`` counts, appended
+        # in first-vote order into an amortized-growth buffer.
+        self._votes = np.zeros((1, 2, 4), dtype=np.int32)
+        self._n_rows = 1
 
     @property
     def n_warps(self) -> int:
@@ -99,49 +109,70 @@ class WarpHashTables:
         self.fp[ws] = fps[winners]
         return winners
 
+    @property
+    def votes(self) -> np.ndarray:
+        """Vote rows in use, ``(rows, 2, 4)``: ``[vote_row[slot], hi, ext]``."""
+        return self._votes[: self._n_rows]
+
     def vote(self, slots: np.ndarray, exts: np.ndarray, hi_mask: np.ndarray) -> None:
         """Atomic vote accumulation (atomicAdd on the value region).
 
-        The adds are compacted first — duplicate (slot, ext) targets are
-        counted with ``unique`` and applied as one duplicate-free fancy
-        add per array — which is several times faster than ``np.add.at``
-        scatter on the 2-D vote matrices and lands the same totals
-        (integer addition is order-free).
+        Only slots that receive votes get a vote row. One ``unique`` over
+        the packed cell key ``slot<<3 | hi<<2 | ext`` yields duplicate-free
+        cells with their add counts; first-voted slots are appended rows,
+        and the adds land as one duplicate-free scatter into the rows
+        (integer addition is order-free, so the totals equal
+        ``np.add.at``).
         """
         if slots.size == 0:
             return
-        # One sort covers all three accumulators: key = slot:ext:hi packs
-        # the (slot, ext, quality-tier) target into one integer, so a
-        # single ``unique`` yields duplicate-free cells for hi_q and
-        # low_q directly, and the per-slot totals fall out of a
-        # run-length reduction over the (already sorted) slot component.
-        # Several times faster than ``np.add.at`` scatter, and cheaper
-        # than per-tier bincounts, whose dense passes over the whole
-        # 4*slots cell domain swamp launch-sized flushes.
-        sub = exts * np.uint8(2)
-        sub += hi_mask
-        if self.count.size * 8 <= np.iinfo(np.int32).max:
+        sub = exts.astype(np.uint8)
+        sub |= np.asarray(hi_mask, dtype=np.uint8) << np.uint8(2)
+        if self.vote_row.size * 8 <= np.iinfo(np.int32).max:
             key = slots.astype(np.int32)  # narrow first: halves sort traffic
             key <<= np.int32(3)
         else:
             key = slots << np.int64(3)
-        key += sub
-        uniq, add = np.unique(key, return_counts=True)
-        add = add.astype(np.int32)
-        hi = (uniq & 1).astype(bool)
-        cell = (uniq >> 1).astype(np.int64)
-        self.hi_q.reshape(-1)[cell[hi]] += add[hi]
-        self.low_q.reshape(-1)[cell[~hi]] += add[~hi]
-        slot = uniq >> 3
-        change = np.empty(slot.size, dtype=bool)
-        change[0] = True
-        np.not_equal(slot[1:], slot[:-1], out=change[1:])
-        starts = np.nonzero(change)[0]
-        self.count[slot[starts].astype(np.int64)] += np.add.reduceat(add, starts)
+        key |= sub
+        cell, add = np.unique(key, return_counts=True)
+        slot = cell >> 3
+        rows = self.vote_row[slot]
+        fresh = rows == 0
+        if fresh.any():
+            # cells are slot-sorted: a slot's first cell opens its row
+            first = fresh.copy()
+            first[1:] &= slot[1:] != slot[:-1]
+            new = slot[first]
+            base = self._n_rows
+            self._grow(base + new.size)
+            self.vote_row[new] = np.arange(base, self._n_rows, dtype=np.int32)
+            rows[fresh] = self.vote_row[slot[fresh]]
+        flat = rows.astype(np.int64) << 3
+        flat |= cell & 7
+        self._votes.reshape(-1)[flat] += add.astype(np.int32)
+
+    def _grow(self, n_rows: int) -> None:
+        """Make room for ``n_rows`` vote rows.
+
+        The first flush sizes the buffer exactly (a launch-sized flush
+        then holds no slack); later growth doubles, so many small
+        ``vote`` calls stay amortized O(1) per row.
+        """
+        if n_rows > self._votes.shape[0]:
+            cap = max(n_rows, 2 * self._votes.shape[0])
+            grown = np.zeros((cap, 2, 4), dtype=np.int32)
+            grown[: self._n_rows] = self._votes[: self._n_rows]
+            self._votes = grown
+        self._n_rows = n_rows
 
     def votes_at(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gather (hi_q, low_q) count rows for walk-step resolution."""
-        return self.hi_q[slots], self.low_q[slots]
+        """Gather (hi_q, low_q) count rows for walk-step resolution.
+
+        Slots nobody voted for read the all-zero row 0, as a
+        never-written value region would.
+        """
+        rows = self._votes[self.vote_row[slots]]
+        return rows[:, 1], rows[:, 0]
 
     def occupancy(self) -> float:
         """Fraction of slots holding a key (post-construction check)."""

@@ -7,8 +7,9 @@ mutations every checker must catch:
 
 * ``"race"`` — the atomicCAS claim is replaced by a plain batched store
   (every colliding lane believes it won and installs its tag), and the
-  atomicAdd vote accumulation by a NumPy fancy-index ``+=`` (duplicate
-  slots in one step genuinely lose updates). **racecheck** must fire.
+  atomicAdd vote accumulation by a plain read-modify-write (duplicate
+  vote targets in one step genuinely lose updates). **racecheck** must
+  fire.
 * ``"sync"`` — the per-iteration ``__syncwarp(mask)`` is issued with a
   stale full-warp mask even after lanes have retired — the classic
   ``__activemask()``-captured-too-early bug. **synccheck** must fire.
@@ -74,14 +75,14 @@ class BuggyConstructPhase(ConstructPhase):
         if emit_writes:
             bus.emit(SlotWrite(phase="construct", kind="vote", slots=slots,
                                warps=warps, lanes=lanes, atomic=False))
-        # BUG: fancy-index += instead of atomicAdd — duplicate slots in
-        # one vectorized step commit only the last lane's increment.
-        rows = slots.astype(np.int64)
-        cols = exts.astype(np.int64)
-        hi = np.asarray(his, dtype=bool)
-        tables.hi_q[rows[hi], cols[hi]] += 1
-        tables.low_q[rows[~hi], cols[~hi]] += 1
-        tables.count[rows] += 1
+        # BUG: plain read-modify-write instead of atomicAdd — lanes
+        # hitting the same (slot, ext, tier) cell in one vectorized step
+        # all read the same old count, so only one increment lands.
+        key = slots.astype(np.int64) << 3
+        key |= np.asarray(his, dtype=np.int64) << 2
+        key |= exts
+        kept = np.unique(key, return_index=True)[1]
+        tables.vote(slots[kept], exts[kept], his[kept])
 
     def _barrier(self, warps: np.ndarray, active_counts: np.ndarray,
                  bus: EventBus) -> None:

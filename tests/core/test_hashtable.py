@@ -76,6 +76,17 @@ class TestCollisions:
                 inserted += 1
         assert inserted >= 4  # filled every slot before failing
 
+    def test_full_table_error_names_the_wrapped_probe(self):
+        t = LocalHashTable(capacity=4, k=3)
+        for s in ["AAA", "CCC", "GGG", "TTT"]:
+            t.insert(_key(s), 0, 30)
+        with pytest.raises(HashTableFullError) as exc:
+            t.insert(_key("ACG"), 0, 30)
+        assert exc.value.capacity == 4 and exc.value.probes == 4
+        assert len(t) == 4 and t.lookup(_key("ACG")) is None
+        # a key already present still merges into the full table
+        assert t.insert(_key("GGG"), 2, 30).votes.count == 2
+
     def test_linear_probing_preserves_all_keys(self):
         # tiny capacity forces probe chains; all distinct keys must survive
         t = LocalHashTable(capacity=11, k=3)

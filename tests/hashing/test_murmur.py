@@ -140,10 +140,19 @@ class TestStream:
         assert words.tolist() == [0x04030201, 0x05040302]
         assert murmur.murmur2_words(stream[:3]).size == 0
 
+    def test_words_at_every_offset(self):
+        rng = np.random.default_rng(8)
+        for size in range(0, 13):
+            stream = rng.integers(0, 256, size=size, dtype=np.uint8)
+            expect = [int.from_bytes(stream[i:i + 4].tobytes(), "little")
+                      for i in range(size - 3)]
+            assert murmur.murmur2_words(stream).tolist() == expect, size
+
     def test_empty_starts(self):
-        out = murmur.murmur2_stream(np.zeros(10, dtype=np.uint8),
-                                    np.empty(0, dtype=np.int64), 4)
-        assert out.shape == (0,) and out.dtype == np.uint32
+        for length in (3, 4, 21):
+            out = murmur.murmur2_stream(np.zeros(30, dtype=np.uint8),
+                                        np.empty(0, dtype=np.int64), length)
+            assert out.shape == (0,) and out.dtype == np.uint32
 
     def test_out_of_bounds_window_rejected(self):
         import pytest
@@ -155,3 +164,53 @@ class TestStream:
             murmur.murmur2_stream(stream, np.array([-1]), 4)
         with pytest.raises(ValueError):
             murmur.murmur2_stream(stream, np.array([0]), 0)
+
+
+class TestStreamBlocks:
+    """Blocked murmur2_stream equals murmur2_batch and the scalar murmur2
+    across block boundaries, every tail length and short windows."""
+
+    B = murmur._STREAM_BLOCK
+
+    @staticmethod
+    def _check(stream, starts, length, seed=11, words=None):
+        got = murmur.murmur2_stream(stream, starts, length, seed=seed,
+                                    words=words)
+        windows = stream[starts[:, None] + np.arange(length)]
+        np.testing.assert_array_equal(
+            got, murmur.murmur2_batch(windows, seed=seed))
+        # the scalar reference at both edges of every block
+        edges = {0, starts.size - 1}
+        for b in range(TestStreamBlocks.B, starts.size,
+                       TestStreamBlocks.B):
+            edges |= {b - 1, b}
+        for i in sorted(e for e in edges if 0 <= e < starts.size):
+            assert int(got[i]) == murmur.murmur2(windows[i].tobytes(),
+                                                 seed=seed), i
+
+    def test_start_counts_around_the_block_size(self):
+        rng = np.random.default_rng(4)
+        stream = rng.integers(0, 4, size=3 * self.B + 64, dtype=np.uint8)
+        for n in (self.B - 1, self.B, self.B + 1, 3 * self.B + 5):
+            starts = rng.integers(0, stream.size - 23, size=n)
+            self._check(stream, starts, 23)
+
+    def test_every_tail_length(self):
+        rng = np.random.default_rng(5)
+        stream = rng.integers(0, 256, size=self.B + 200, dtype=np.uint8)
+        for length in (20, 21, 22, 23):  # length % 4 = 0, 1, 2, 3
+            starts = np.arange(self.B + 3, dtype=np.int64)
+            self._check(stream, starts, length)
+
+    def test_windows_shorter_than_a_word(self):
+        rng = np.random.default_rng(6)
+        stream = rng.integers(0, 256, size=self.B + 10, dtype=np.uint8)
+        for length in (1, 2, 3):
+            starts = np.arange(self.B + 2, dtype=np.int64)
+            self._check(stream, starts, length)
+
+    def test_supplied_words(self):
+        rng = np.random.default_rng(7)
+        stream = rng.integers(0, 4, size=2 * self.B + 100, dtype=np.uint8)
+        starts = rng.integers(0, stream.size - 33, size=2 * self.B + 9)
+        self._check(stream, starts, 33, words=murmur.murmur2_words(stream))

@@ -27,6 +27,7 @@ from repro.kernels.engine import (
     PrepareCache,
     run_schedule_coalesced,
 )
+from repro.kernels.engine.coalesce import _FusionRecorder
 from repro.resilience.checkpoint import profile_to_dict
 from repro.simt.device import A100, MI250X
 
@@ -199,6 +200,11 @@ class TestCoalesceParity:
 
 
 class TestCoalesceValidation:
+    def test_recorder_rejects_unmatched_end_launch(self):
+        recorder = _FusionRecorder(False, False, False, False)
+        with pytest.raises(KernelError):
+            recorder.end_launch()
+
     def test_rejects_empty_job_list(self):
         kern = CudaLocalAssemblyKernel(A100)
         with pytest.raises(KernelError, match="at least one job"):

@@ -149,6 +149,15 @@ class TestMergeParity:
         assert r_v == r_s and l_v == l_s
         assert profile_to_dict(prof_v) == profile_to_dict(prof_s)
 
+    def test_empty_contig_set_runs_the_first_k(self):
+        """No contigs: both loops still run (and return) the first k's
+        empty launch sequence instead of failing on a missing profile."""
+        (k_v, prof_v, r_v, l_v), (k_s, prof_s, r_s, l_s) = self._both(
+            [], (21, 33))
+        assert k_v == k_s == 21
+        assert r_v == r_s == [] and l_v == l_s == []
+        assert profile_to_dict(prof_v) == profile_to_dict(prof_s)
+
     def test_early_settle_breaks_identically(self):
         """Perfect reads settle every end at the first k; both merge
         loops must stop there (same last_k, same single-k profile)."""

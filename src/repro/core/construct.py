@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.core.hashtable import LocalHashTable
 from repro.genomics.contig import Contig
 from repro.genomics.reads import ReadSet
@@ -22,7 +24,7 @@ DEFAULT_LOAD_FACTOR = 0.66
 
 def insertions_for(reads: ReadSet, k: int) -> int:
     """Number of hash insertions Algorithm 1 performs for ``reads``."""
-    return sum(max(0, len(r) - k) for r in reads)
+    return int(np.maximum(reads.lengths() - k, 0).sum())
 
 
 def estimate_table_slots(

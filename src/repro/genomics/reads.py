@@ -90,9 +90,19 @@ class ReadSet:
     """
 
     reads: list[Read] = field(default_factory=list)
+    _lengths: np.ndarray | None = field(default=None, init=False,
+                                        repr=False, compare=False)
 
     def append(self, read: Read) -> None:
         self.reads.append(read)
+        self._lengths = None
+
+    def lengths(self) -> np.ndarray:
+        """int64 length of every read, cached until the next :meth:`append`."""
+        if self._lengths is None or self._lengths.size != len(self.reads):
+            self._lengths = np.fromiter((len(r) for r in self.reads),
+                                        dtype=np.int64, count=len(self.reads))
+        return self._lengths
 
     def __len__(self) -> int:
         return len(self.reads)

@@ -12,7 +12,10 @@ launch plan (one bin, one extension direction) the engine runs
    mer-walk;
 
 with launch plans produced by a pluggable
-:class:`~repro.kernels.engine.schedule.LaunchPolicy`. All profiling,
+:class:`~repro.kernels.engine.schedule.LaunchPolicy`. Consecutive small
+plans of one k share one fused lockstep launch, and each plan's solo
+event stream is replayed from it (:mod:`repro.kernels.engine.coalesce`),
+so packing changes no result. All profiling,
 memory-traffic accounting, and address-trace recording happens in event
 subscribers (:mod:`repro.kernels.engine.events`), never inline — the
 phases only emit what they measured.
@@ -26,26 +29,20 @@ from repro.core.merwalk import DEFAULT_MAX_WALK_LEN
 from repro.core.construct import DEFAULT_LOAD_FACTOR
 from repro.core.extension import DEFAULT_POLICY, WalkPolicy
 from repro.errors import KernelError
-from repro.genomics.contig import Contig, End
-from repro.genomics.dna import decode_matrix, reverse_complement_matrix
+from repro.genomics.contig import Contig
 from repro.genomics.reads import DEFAULT_QUAL_THRESHOLD
-from repro.hashing.opcount import hash_intops
 from repro.kernels.engine.backend import KernelRunResult, ProtocolCosts
+from repro.kernels.engine.coalesce import LaunchExecutor, LaunchTarget
 from repro.kernels.engine.construct import ConstructPhase
 from repro.kernels.engine.events import (
-    ContigDropped,
-    ContigRetried,
     EventBus,
-    LaunchDone,
-    LaunchStarted,
     ProfileSubscriber,
     TraceReplaySubscriber,
     TraceSubscriber,
     TrafficSubscriber,
 )
-from repro.kernels.engine.prepare import BatchPreparer, PrepareCache, subset_batch
+from repro.kernels.engine.prepare import BatchPreparer, PrepareCache
 from repro.kernels.engine.schedule import (
-    MISSING_CODE,
     BinnedLaunchPolicy,
     LaunchConfig,
     LaunchPolicy,
@@ -53,7 +50,7 @@ from repro.kernels.engine.schedule import (
     iterate_k_schedule,
 )
 from repro.kernels.engine.walk import WalkPhase
-from repro.kernels.vectortable import SLOT_BYTES, WarpHashTables
+from repro.kernels.vectortable import SLOT_BYTES
 from repro.resilience.policy import (
     DEFAULT_GROW_FACTOR,
     DEFAULT_MAX_GROW_ATTEMPTS,
@@ -276,91 +273,24 @@ class LocalAssemblyKernel:
         profile = KernelProfile(warp_size=self.warp_size)
         profile.walk_issue_width = 1 if self.lane_parallel_walks else self.warp_size
         profile.contigs = len(contigs)
-        right_arr = SideArrays.empty(len(contigs))
-        left_arr = SideArrays.empty(len(contigs))
         self.last_trace = []
         self.last_replay = []
-        bus, traffic, tracer, replayer, sanitizer = self._build_bus(
+        bus, _, tracer, replayer, sanitizer = self._build_bus(
             profile, parallel_scale)
-        defer = self.overflow_policy is not OverflowPolicy.RAISE
-        construct = self.construct_cls(self.protocol, self.warp_size,
-                                       defer_overflow=defer)
-        walker = self.walk_cls(self.policy, self.max_walk_len, self.seed,
-                               defer_overflow=defer)
-        ops = hash_intops(k)
+        target = LaunchTarget(bus, SideArrays.empty(len(contigs)),
+                              SideArrays.empty(len(contigs)))
         injector = self.fault_injector
-        degraded: set[int] = set()
-        retried: set[int] = set()
+        # Under fault injection every plan is its own launch, so launch
+        # ordinals and shaped batches keep their one-plan meaning.
+        executor = LaunchExecutor(self, k, bus, fuse=injector is None)
         for plan in plans:
             ordinal = injector.begin_launch() if injector is not None else -1
             batch = self.preparer.prepare(contigs, plan.bin, plan.end, k,
                                           cache=prep_cache)
             if injector is not None:
                 injector.shape_batch(batch, ordinal)
-            sub = batch
-            attempt = 0
-            while True:
-                tables = WarpHashTables(sub.capacities, k)
-                bus.emit(LaunchStarted(
-                    k=k, hash_ops=ops, n_warps=sub.n_warps,
-                    mean_table_bytes=float(np.mean(sub.capacities)) * SLOT_BYTES,
-                    mean_read_bytes=float(np.mean(sub.read_bytes_per_warp)),
-                    cold_footprint_bytes=tables.total_bytes + 2 * sub.codes.size,
-                    total_slots=tables.total_slots,
-                    contig_ids=(tuple(int(ci) for ci in sub.contig_ids)
-                                if sanitizer is not None else ()),
-                ))
-                cres = construct.run(sub, tables, bus)
-                wres = walker.run(sub, tables, bus)
-                bus.emit(LaunchDone(
-                    waves=cres.waves, construct_iterations=cres.iterations,
-                    walk_steps=wres.steps, walk_iterations=wres.iterations,
-                ))
-                self._last_access_latency = traffic.last_access_latency
-                failed = sorted(set(cres.overflowed) | set(wres.overflowed))
-                # scatter the launch's accepted walks in one batched
-                # decode + array assignment (left ends reverse-complement
-                # as a matrix gather, not per string)
-                arr = right_arr if plan.end is End.RIGHT else left_arr
-                ok = np.ones(sub.n_warps, dtype=bool)
-                if failed:
-                    ok[failed] = False
-                cis = np.asarray(sub.contig_ids, dtype=np.int64)[ok]
-                if cis.size:
-                    lens = wres.base_lens[ok]
-                    mat = wres.base_codes[ok]
-                    if plan.end is not End.RIGHT:
-                        mat = reverse_complement_matrix(mat, lens)
-                    arr.text[cis] = decode_matrix(mat, lens)
-                    arr.lens[cis] = lens
-                    arr.state_codes[cis] = wres.state_codes[ok]
-                if not failed:
-                    break
-                if (self.overflow_policy is OverflowPolicy.GROW_RETRY
-                        and attempt < self.max_grow_attempts):
-                    attempt += 1
-                    grown = np.maximum(
-                        sub.capacities[failed] + 1,
-                        np.ceil(sub.capacities[failed]
-                                * self.grow_factor).astype(np.int64))
-                    for w, cap in zip(failed, grown):
-                        bus.emit(ContigRetried(
-                            contig_id=sub.contig_ids[w], k=k,
-                            attempt=attempt, capacity=int(cap)))
-                        retried.add(sub.contig_ids[w])
-                    sub = subset_batch(sub, failed, grown)
-                    continue
-                end_name = "right" if plan.end is End.RIGHT else "left"
-                for w in failed:
-                    ci = sub.contig_ids[w]
-                    bus.emit(ContigDropped(
-                        contig_id=ci, k=k, end=end_name,
-                        capacity=int(sub.capacities[w])))
-                    degraded.add(ci)
-                    arr.text[ci] = ""
-                    arr.lens[ci] = 0
-                    arr.state_codes[ci] = MISSING_CODE
-                break
+            executor.add(target, plan.end, batch)
+        executor.flush()
         if tracer is not None:
             self.last_trace = tracer.traces
         if replayer is not None:
@@ -369,12 +299,12 @@ class LocalAssemblyKernel:
         if sanitizer is not None:
             self.last_sanitizer_report = sanitizer.report
         result = KernelRunResult(device=self.device, k=k, profile=profile,
-                                 right=right_arr.to_side(),
-                                 left=left_arr.to_side(),
-                                 degraded=sorted(degraded),
-                                 retried=sorted(retried),
-                                 right_arrays=right_arr,
-                                 left_arrays=left_arr)
+                                 right=target.right.to_side(),
+                                 left=target.left.to_side(),
+                                 degraded=sorted(target.degraded),
+                                 retried=sorted(target.retried),
+                                 right_arrays=target.right,
+                                 left_arrays=target.left)
         if injector is not None:
             injector.degrade_result(result)
         return result

@@ -14,7 +14,7 @@ assembly. This module implements the single-node equivalent:
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +22,9 @@ import numpy as np
 from repro.errors import SequenceError
 from repro.genomics.contig import Contig, End
 from repro.genomics.dna import reverse_complement
+from repro.genomics.kmer import pack_windows
 from repro.genomics.reads import Read, ReadSet
+from repro.kernels.engine.prepare import segmented_arange
 
 #: Seed length for the contig k-mer index.
 DEFAULT_SEED_LEN = 17
@@ -59,8 +61,33 @@ class AlignmentHit:
         return 1.0 - self.mismatches / self.overlap if self.overlap else 0.0
 
 
+#: Reads aligned per vectorised block of :meth:`ReadAligner.align_all`
+#: (bounds the candidate and compare arrays on large read sets).
+_ALIGN_BLOCK_READS = 1024
+
+
+def _seed_keys(codes: np.ndarray, starts: np.ndarray,
+               seed_len: int) -> np.ndarray:
+    """Exact sortable keys of the ``seed_len``-windows at ``starts``.
+
+    Two bits per base (:func:`~repro.genomics.kmer.pack_windows`): one
+    ``uint64`` per key up to 32 bases, otherwise the words' big-endian
+    bytes, which sort and compare in word order. Equal keys are equal
+    seeds; there is no hashing.
+    """
+    words = pack_windows(codes, starts, seed_len)
+    if words.shape[1] == 1:
+        return words[:, 0]
+    return np.ascontiguousarray(words.astype(">u8")).view(
+        f"S{8 * words.shape[1]}").ravel()
+
+
 class ReadAligner:
     """Seed-and-extend aligner over a fixed contig set.
+
+    The seed index is one array of exactly packed contig seed keys,
+    sorted stably so equal seeds keep contig-then-position order, with
+    the contig index and position of every entry alongside.
 
     Args:
         contigs: target contigs (indexed once, at construction).
@@ -79,58 +106,145 @@ class ReadAligner:
         self.contigs = contigs
         self.seed_len = seed_len
         self.max_mismatch_frac = max_mismatch_frac
-        self._index: dict[bytes, list[tuple[int, int]]] = defaultdict(list)
-        for ci, contig in enumerate(contigs):
-            codes = contig.codes
-            for i in range(0, max(0, len(codes) - seed_len + 1)):
-                self._index[codes[i : i + seed_len].tobytes()].append((ci, i))
+        lens = np.fromiter((len(c) for c in contigs), dtype=np.int64,
+                           count=len(contigs))
+        self._ctg_lens = lens
+        self._ctg_off = np.zeros(lens.size + 1, dtype=np.int64)
+        np.cumsum(lens, out=self._ctg_off[1:])
+        self._ctg_codes = (np.concatenate([c.codes for c in contigs])
+                           if contigs else np.empty(0, dtype=np.uint8))
+        n_win = np.maximum(lens - seed_len + 1, 0)
+        pos = segmented_arange(n_win)
+        ci = np.repeat(np.arange(lens.size, dtype=np.int64), n_win)
+        keys = _seed_keys(self._ctg_codes, self._ctg_off[ci] + pos, seed_len)
+        order = np.argsort(keys, kind="stable")
+        self._keys = keys[order]
+        self._entry_ci = ci[order]
+        self._entry_pos = pos[order]
+        self._seed_offsets: dict[tuple[int, int], np.ndarray] = {}
 
-    def _extend(self, read_codes: np.ndarray, ci: int, pos: int,
-                reverse: bool) -> AlignmentHit | None:
-        contig_codes = self.contigs[ci].codes
-        lo = max(0, pos)
-        hi = min(len(contig_codes), pos + len(read_codes))
-        overlap = hi - lo
-        if overlap < self.seed_len:
-            return None
-        mism = int(np.count_nonzero(
-            read_codes[lo - pos : hi - pos] != contig_codes[lo:hi]
-        ))
-        if mism > self.max_mismatch_frac * overlap:
-            return None
-        return AlignmentHit(contig_index=ci, position=pos, reverse=reverse,
-                            mismatches=mism, overlap=overlap)
+    def _offsets(self, read_len: int, max_seeds: int) -> np.ndarray:
+        """Seed offsets sampled across a read of ``read_len`` bases."""
+        key = (read_len, max_seeds)
+        offs = self._seed_offsets.get(key)
+        if offs is None:
+            n_seeds = max(1, min(max_seeds, (read_len - self.seed_len + 1)
+                                 // self.seed_len + 1))
+            offs = np.unique(np.linspace(0, read_len - self.seed_len, n_seeds,
+                                         dtype=np.int64))
+            self._seed_offsets[key] = offs
+        return offs
 
     def align(self, read: Read, max_seeds: int = 8) -> AlignmentHit | None:
-        """Best alignment of ``read`` (either strand) or None.
+        """Best alignment of ``read`` (either strand) or None."""
+        return self.align_all([read], max_seeds)[0]
 
-        Seeds are sampled across the read; candidates are deduplicated by
-        (contig, diagonal) and the highest-overlap, fewest-mismatch hit
-        wins.
+    def align_all(self, reads: Sequence[Read],
+                  max_seeds: int = 8) -> list[AlignmentHit | None]:
+        """Best alignment of every read (either strand), or None each.
+
+        Up to ``max_seeds`` seeds are sampled across each strand of a
+        read and looked up in the seed index; each distinct (strand,
+        contig, diagonal) candidate is extended gaplessly, and among the
+        accepted ones the first with the highest ``overlap - 3 *
+        mismatches`` wins, in the order forward strand then reverse,
+        seed offset, then index order.
         """
-        best: AlignmentHit | None = None
-        for reverse in (False, True):
-            codes = read.codes if not reverse else reverse_complement(read.codes)
-            n_seeds = max(1, min(max_seeds,
-                                 (len(codes) - self.seed_len + 1) // self.seed_len + 1))
-            if len(codes) < self.seed_len:
-                continue
-            offsets = np.unique(np.linspace(
-                0, len(codes) - self.seed_len, n_seeds, dtype=np.int64))
-            tried: set[tuple[int, int]] = set()
-            for off in offsets:
-                seed = codes[off : off + self.seed_len].tobytes()
-                for ci, cpos in self._index.get(seed, ()):
-                    key = (ci, int(cpos) - int(off))
-                    if key in tried:
-                        continue
-                    tried.add(key)
-                    hit = self._extend(codes, ci, cpos - int(off), reverse)
-                    if hit and (best is None
-                                or (hit.overlap - 3 * hit.mismatches)
-                                > (best.overlap - 3 * best.mismatches)):
-                        best = hit
-        return best
+        reads = list(reads)
+        hits: list[AlignmentHit | None] = []
+        for lo in range(0, len(reads), _ALIGN_BLOCK_READS):
+            hits.extend(self._align_block(reads[lo:lo + _ALIGN_BLOCK_READS],
+                                          max_seeds))
+        return hits
+
+    def _align_block(self, reads: list[Read],
+                     max_seeds: int) -> list[AlignmentHit | None]:
+        S = self.seed_len
+        n = len(reads)
+        hits: list[AlignmentHit | None] = [None] * n
+        lens = np.fromiter((len(r) for r in reads), dtype=np.int64, count=n)
+        if not n or not self._keys.size or int(lens.max()) < S:
+            return hits
+        codes = np.concatenate([r.codes for r in reads])
+        read_off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lens, out=read_off[1:])
+
+        # seeds in scalar order: read, strand, offset
+        seeded = np.nonzero(lens >= S)[0]
+        per_read = [self._offsets(int(lens[r]), max_seeds) for r in seeded]
+        n_off = np.fromiter((o.size for o in per_read), dtype=np.int64,
+                            count=seeded.size)
+        seed_read = np.repeat(seeded, 2 * n_off)
+        seed_rev = np.repeat(np.tile([False, True], seeded.size),
+                             np.repeat(n_off, 2))
+        seed_off = np.concatenate([o for o in per_read for _ in (0, 1)])
+        # a reverse-strand seed at offset o is the reverse complement of
+        # the forward bases [L - o - S, L - o)
+        rl = lens[seed_read]
+        fwd_start = read_off[seed_read] + np.where(seed_rev,
+                                                   rl - seed_off - S, seed_off)
+        win = codes[fwd_start[:, None] + np.arange(S, dtype=np.int64)]
+        win[seed_rev] = 3 - win[seed_rev, ::-1]
+        keys = _seed_keys(win.ravel(), np.arange(win.shape[0],
+                                                 dtype=np.int64) * S, S)
+        first = np.searchsorted(self._keys, keys, side="left")
+        count = np.searchsorted(self._keys, keys, side="right") - first
+        if not count.any():
+            return hits
+
+        # candidates, deduplicated per (read, strand, contig, diagonal)
+        cand_seed = np.repeat(np.arange(keys.size, dtype=np.int64), count)
+        entry = np.repeat(first, count) + segmented_arange(count)
+        c_read = seed_read[cand_seed]
+        c_rev = seed_rev[cand_seed]
+        c_ci = self._entry_ci[entry]
+        c_pos = self._entry_pos[entry] - seed_off[cand_seed]
+        order = np.lexsort((c_pos, c_ci, c_rev, c_read))
+        new = np.ones(order.size, dtype=bool)
+        sr, sv, sc, sp = c_read[order], c_rev[order], c_ci[order], c_pos[order]
+        new[1:] = ((sr[1:] != sr[:-1]) | (sv[1:] != sv[:-1])
+                   | (sc[1:] != sc[:-1]) | (sp[1:] != sp[:-1]))
+        keep = np.zeros(order.size, dtype=bool)
+        keep[order[new]] = True
+        c_read, c_rev, c_ci, c_pos = (c_read[keep], c_rev[keep], c_ci[keep],
+                                      c_pos[keep])
+
+        # gapless extension: overlap, then one segmented compare
+        c_len = lens[c_read]
+        lo = np.maximum(c_pos, 0)
+        overlap = np.minimum(self._ctg_lens[c_ci], c_pos + c_len) - lo
+        ok = overlap >= S
+        c_read, c_rev, c_ci, c_pos, c_len, lo, overlap = (
+            c_read[ok], c_rev[ok], c_ci[ok], c_pos[ok], c_len[ok], lo[ok],
+            overlap[ok])
+        seg = np.repeat(np.arange(overlap.size, dtype=np.int64), overlap)
+        j = segmented_arange(overlap)
+        ri = (lo - c_pos)[seg] + j           # index into the strand's read
+        rev = c_rev[seg]
+        base = read_off[c_read][seg]
+        read_base = codes[np.where(rev, base + c_len[seg] - 1 - ri, base + ri)]
+        read_base = np.where(rev, 3 - read_base, read_base)
+        ctg_base = self._ctg_codes[self._ctg_off[c_ci][seg] + lo[seg] + j]
+        mism = np.bincount(seg, weights=read_base != ctg_base,
+                           minlength=overlap.size).astype(np.int64)
+        ok = ~(mism > self.max_mismatch_frac * overlap)
+        c_read, c_rev, c_ci, c_pos, mism, overlap = (
+            c_read[ok], c_rev[ok], c_ci[ok], c_pos[ok], mism[ok], overlap[ok])
+        if not c_read.size:
+            return hits
+
+        # per read, the first candidate with the best score
+        score = overlap - 3 * mism
+        best = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)
+        np.maximum.at(best, c_read, score)
+        top = np.nonzero(score == best[c_read])[0]
+        _, pick = np.unique(c_read[top], return_index=True)
+        for i in top[pick].tolist():
+            hits[int(c_read[i])] = AlignmentHit(
+                contig_index=int(c_ci[i]), position=int(c_pos[i]),
+                reverse=bool(c_rev[i]), mismatches=int(mism[i]),
+                overlap=int(overlap[i]))
+        return hits
 
     def classify_end(self, hit: AlignmentHit, read_len: int,
                      end_window: int = DEFAULT_END_WINDOW) -> End | None:
@@ -172,8 +286,7 @@ def assign_reads_to_ends(
         c.reads = ReadSet()
         c.read_end_hints = []
     stats = {"aligned": 0, "unaligned": 0, "interior": 0, "assigned": 0}
-    for read in reads:
-        hit = aligner.align(read)
+    for read, hit in zip(reads, aligner.align_all(reads)):
         if hit is None:
             stats["unaligned"] += 1
             continue

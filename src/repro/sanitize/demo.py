@@ -45,9 +45,9 @@ BUGS = ("race", "sync", "init")
 class BuggyConstructPhase(ConstructPhase):
     """Construction with a non-atomic insert protocol and stale sync masks."""
 
-    def __init__(self, protocol, warp_size: int, defer_overflow: bool = False,
-                 bugs: frozenset = frozenset(BUGS)) -> None:
-        super().__init__(protocol, warp_size, defer_overflow)
+    def __init__(self, *args, bugs: frozenset = frozenset(BUGS),
+                 **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.bugs = bugs
 
     def _claim(self, tables: WarpHashTables, slots: np.ndarray,

@@ -41,6 +41,38 @@ class TestInsertionCount:
         rs = _reads("A" * length)
         assert insertions_for(rs, k) == max(0, length - k)
 
+    @given(st.lists(st.integers(0, 120), max_size=40),
+           st.lists(st.integers(0, 120), max_size=5), st.integers(1, 80))
+    def test_matches_generator_sum_across_appends(self, lengths, more, k):
+        """The length-array count equals the per-read generator sum, and
+        ``append`` invalidates the cached lengths."""
+        rs = _reads(*("C" * n for n in lengths))
+        assert insertions_for(rs, k) == sum(max(0, len(r) - k) for r in rs)
+        for i, n in enumerate(more):
+            rs.append(Read.from_strings(f"m{i}", "G" * n))
+            assert insertions_for(rs, k) == sum(max(0, len(r) - k)
+                                                for r in rs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 90), max_size=12), min_size=1,
+                    max_size=20),
+           st.integers(10, 60), st.sampled_from([None, 200, 1000]))
+    def test_bins_match_generator_planner(self, per_contig, k, cap):
+        import repro.core.binning as binning
+
+        contigs = [Contig.from_string(f"c{i}", "ACGT" * 10,
+                                      _reads(*("T" * n for n in lens)))
+                   for i, lens in enumerate(per_contig)]
+        got = binning.bin_contigs(contigs, k, max_batch_insertions=cap)
+        original = binning.insertions_for
+        binning.insertions_for = lambda reads, k: sum(
+            max(0, len(r) - k) for r in reads)
+        try:
+            want = binning.bin_contigs(contigs, k, max_batch_insertions=cap)
+        finally:
+            binning.insertions_for = original
+        assert got == want
+
 
 class TestSizing:
     def test_estimate_monotone(self):

@@ -79,6 +79,32 @@ def test_each_bug_caught_only_by_its_checker(bug, contigs):
                 + report.render()
 
 
+@pytest.mark.parametrize("bug", BUGS)
+def test_demo_bugs_caught_when_launches_fuse(bug, contigs, monkeypatch):
+    """The dataset's small plans share one fused launch; each seeded bug
+    is still caught, with the findings of one launch per plan."""
+    import repro.kernels.engine.coalesce as coalesce
+
+    packs = []
+    run_fused = coalesce.LaunchExecutor._run_fused
+
+    def spy(self, pack):
+        packs.append(len(pack))
+        return run_fused(self, pack)
+
+    monkeypatch.setattr(coalesce.LaunchExecutor, "_run_fused", spy)
+    reports = []
+    for budget in (coalesce._FUSE_INSERTIONS, 0):
+        monkeypatch.setattr(coalesce, "_FUSE_INSERTIONS", budget)
+        kernel = create_backend("buggy-demo", sanitize="all", bugs=(bug,))
+        kernel.run(contigs, 21)
+        reports.append(kernel.last_sanitizer_report)
+    assert packs == [6]  # fused once, then every plan alone
+    fused, alone = reports
+    assert fused.count(BUG_TO_CHECKER[bug]) > 0
+    assert fused.findings == alone.findings
+
+
 @pytest.mark.parametrize("check", CHECKS)
 def test_single_checker_selection_isolates(check, contigs):
     kernel = create_backend("buggy-demo", sanitize=check)
